@@ -132,6 +132,17 @@ class TermDictionary:
             self.encode(triple.object),
         )
 
+    def lookup_triple(self, triple: Triple) -> EncodedTriple | None:
+        """The triple's id row, or ``None`` when any term is unknown (so the
+        triple cannot be stored anywhere encoded against this dictionary)."""
+        get = self._term_to_id.get
+        subject_id = get(triple.subject)
+        predicate_id = get(triple.predicate)
+        object_id = get(triple.object)
+        if subject_id is None or predicate_id is None or object_id is None:
+            return None
+        return (subject_id, predicate_id, object_id)
+
     def decode_triple(self, encoded: EncodedTriple) -> Triple:
         subject_id, predicate_id, object_id = encoded
         return Triple(

@@ -392,8 +392,8 @@ class ColumnarTripleTable(TripleTable):
     top, per-predicate ``(subjects, objects)`` column pairs (and one full
     ``(s, p, o)`` triple of columns for table scans) are built lazily in scan
     order and dropped on the same mutations that invalidate bound plans:
-    inserts drop only the touched predicate's block, deletes/extractions/
-    compactions drop everything.
+    inserts, deletes and extractions drop only the touched predicate's
+    block (plus the full-table block); compactions drop everything.
     """
 
     def __init__(self, dictionary=None, use_numpy: Optional[bool] = None):
@@ -410,10 +410,10 @@ class ColumnarTripleTable(TripleTable):
             self._full_columns = None
         return inserted
 
-    def delete(self, triple) -> bool:
-        removed = super().delete(triple)
+    def delete_row(self, row) -> bool:
+        removed = super().delete_row(row)
         if removed:
-            self._partition_columns.clear()
+            self._partition_columns.pop(row[1], None)
             self._full_columns = None
         return removed
 

@@ -85,7 +85,7 @@ from repro.relstore.executor import (
     match_id_rows,
 )
 from repro.relstore.planner import RelationalPlan, kernel_costs_for_engine, plan_query
-from repro.relstore.stats import PredicateStatistics, TableStatistics, predicate_statistics
+from repro.relstore.stats import StatisticsTracker, TableStatistics
 from repro.relstore.store import capped_execution, estimate_relational_seconds
 from repro.relstore.table import Row, TripleTable
 
@@ -230,6 +230,10 @@ class ShardedRelationalStore:
         #: form, so placement is identical no matter the insertion order).
         self._term_shard: Dict[int, int] = {}
         self._statistics: Optional[TableStatistics] = None
+        #: Store-level incremental statistics (distinct counts must be global:
+        #: a subject-sharded predicate's objects repeat across shards), built
+        #: by one scan on first use.
+        self._tracker: Optional[StatisticsTracker] = None
         #: query → (plan, compiled plan) memo, invalidated by generation.
         self._bound_plans = BoundPlanCache()
         self._plan_generation = 0
@@ -357,12 +361,15 @@ class ShardedRelationalStore:
         """Insert new knowledge, routing each row to its shard."""
         inserted = 0
         touched: set[int] = set()
+        tracker = self._tracker
         for triple in triples:
             row = self.dictionary.encode_triple(triple)
             shard = self._shard_for_row(row)
             if self._tables[shard].insert_row(row):
                 inserted += 1
                 touched.add(row[1])
+                if tracker is not None:
+                    tracker.add(row)
         self._statistics = None
         self._plan_generation += 1
         for predicate_id in touched:
@@ -372,19 +379,21 @@ class ShardedRelationalStore:
         return seconds
 
     def delete(self, triple: Triple) -> bool:
-        predicate_id = self.dictionary.lookup(triple.predicate)
-        subject_id = self.dictionary.lookup(triple.subject)
-        if predicate_id is None or subject_id is None:
+        row = self.dictionary.lookup_triple(triple)
+        if row is None:
             return False
+        subject_id, predicate_id, _ = row
         placement = self._placement.get(predicate_id)
         if placement is None:
             return False
         shard = self._shard_of_term(subject_id) if placement == SUBJECT_SHARDED else placement
-        removed = self._tables[shard].delete(triple)
-        if removed:
-            self._statistics = None
-            self._plan_generation += 1
-        return removed
+        if not self._tables[shard].delete_row(row):
+            return False
+        if self._tracker is not None:
+            self._tracker.remove(row)
+        self._statistics = None
+        self._plan_generation += 1
+        return True
 
     def __len__(self) -> int:
         return sum(len(table) for table in self._tables)
@@ -437,19 +446,14 @@ class ShardedRelationalStore:
         data, so planning (join order, access paths) is identical too —
         sharding changes *where* rows live, never *how* queries are planned.
         """
-        if self._statistics is None:
-            per_predicate: Dict[IRI, PredicateStatistics] = {}
-            for predicate in self.predicates():
-                predicate_id = self.dictionary.lookup(predicate)
-                if predicate_id is None:  # pragma: no cover - defensive
-                    continue
-                per_predicate[predicate] = predicate_statistics(
-                    row
-                    for table in self._tables_for_predicate(predicate_id)
-                    for row in table.scan_predicate(predicate_id)
+        statistics = self._statistics
+        if statistics is None:
+            if self._tracker is None:
+                self._tracker = StatisticsTracker.from_rows(
+                    self.dictionary, (row for table in self._tables for row in table.scan())
                 )
-            self._statistics = TableStatistics(total_rows=len(self), per_predicate=per_predicate)
-        return self._statistics
+            statistics = self._statistics = self._tracker.statistics()
+        return statistics
 
     # ------------------------------------------------------------------ #
     # Query execution (scatter-gather)

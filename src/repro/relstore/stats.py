@@ -3,19 +3,27 @@
 The planner uses these statistics to order joins and to decide between index
 lookups and partition scans; the tuner uses them to estimate the benefit of
 moving a partition without executing anything (``estimate_only`` mode).
+
+Both relational stores maintain their statistics incrementally through a
+:class:`StatisticsTracker`, so a write costs O(rows written) rather than a
+full rebuild.  :func:`collect_statistics` / :func:`predicate_statistics`
+compute the same values from scratch by scanning; they are the oracle the
+differential tests hold the tracker to, not a production path.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import IRI, Variable
 from repro.sparql.ast import SelectQuery, TriplePattern
 
 from repro.relstore.table import Row, TripleTable
 
-__all__ = ["TableStatistics", "collect_statistics", "predicate_statistics"]
+__all__ = ["TableStatistics", "StatisticsTracker", "collect_statistics", "predicate_statistics"]
 
 
 @dataclass(frozen=True)
@@ -218,8 +226,122 @@ class TableStatistics:
         return scan_work + join_work
 
 
+class StatisticsTracker:
+    """Table statistics kept current row by row.
+
+    For each predicate id the tracker holds the cardinality and the
+    subject→count and object→count maps a scan would build.  The owning store
+    feeds it every row it actually inserts (:meth:`add`) or deletes
+    (:meth:`remove`); row moves between shards are not changes and are not
+    fed.  :meth:`statistics` rebuilds :class:`PredicateStatistics` only for
+    the predicates touched since the previous call and returns them in
+    sorted-IRI order — the order a from-scratch pass produces, so snapshot
+    payloads are unchanged.
+
+    Writes happen under the stores' exclusive-mutation contract, but
+    :meth:`statistics` runs on readers (plan binding), possibly several at
+    once, so its refresh is serialized by a lock.
+    """
+
+    def __init__(self, dictionary: TermDictionary):
+        self._dictionary = dictionary
+        self._cardinality: Dict[int, int] = {}
+        self._subjects: Dict[int, Dict[int, int]] = {}
+        self._objects: Dict[int, Dict[int, int]] = {}
+        self._total_rows = 0
+        #: predicate ids whose statistics are stale.
+        self._dirty: Set[int] = set()
+        #: predicate id -> (IRI, statistics) for every predicate with rows.
+        self._built: Dict[int, Tuple[IRI, PredicateStatistics]] = {}
+        #: ``_built`` keys in IRI order; ``None`` when the key set changed.
+        self._order: Optional[List[int]] = None
+        self._lock = threading.Lock()
+
+    @classmethod
+    def from_rows(cls, dictionary: TermDictionary, rows: Iterable[Row]) -> "StatisticsTracker":
+        """A tracker over existing rows (one scan; the lazy first build)."""
+        tracker = cls(dictionary)
+        add = tracker.add
+        for row in rows:
+            add(row)
+        return tracker
+
+    def add(self, row: Row) -> None:
+        subject_id, predicate_id, object_id = row
+        subjects = self._subjects.get(predicate_id)
+        if subjects is None:
+            subjects = self._subjects[predicate_id] = {}
+            self._objects[predicate_id] = {}
+            self._cardinality[predicate_id] = 0
+        objects = self._objects[predicate_id]
+        subjects[subject_id] = subjects.get(subject_id, 0) + 1
+        objects[object_id] = objects.get(object_id, 0) + 1
+        self._cardinality[predicate_id] += 1
+        self._total_rows += 1
+        self._dirty.add(predicate_id)
+
+    def remove(self, row: Row) -> None:
+        """Forget one row the store removed (it must have been added)."""
+        subject_id, predicate_id, object_id = row
+        remaining = self._cardinality[predicate_id] - 1
+        self._total_rows -= 1
+        self._dirty.add(predicate_id)
+        if not remaining:
+            del self._cardinality[predicate_id]
+            del self._subjects[predicate_id]
+            del self._objects[predicate_id]
+            return
+        self._cardinality[predicate_id] = remaining
+        _decrement(self._subjects[predicate_id], subject_id)
+        _decrement(self._objects[predicate_id], object_id)
+
+    def statistics(self) -> TableStatistics:
+        """Current statistics; a fresh object the caller may keep."""
+        with self._lock:
+            for predicate_id in self._dirty:
+                self._refresh(predicate_id)
+            self._dirty.clear()
+            built = self._built
+            if self._order is None:
+                self._order = sorted(built, key=lambda pid: built[pid][0].value)
+            per_predicate = dict(built[pid] for pid in self._order)
+            return TableStatistics(total_rows=self._total_rows, per_predicate=per_predicate)
+
+    def _refresh(self, predicate_id: int) -> None:
+        subjects = self._subjects.get(predicate_id)
+        if subjects is None:
+            if self._built.pop(predicate_id, None) is not None:
+                self._order = None
+            return
+        term = self._dictionary.decode(predicate_id)
+        if not isinstance(term, IRI):  # pragma: no cover - predicates are IRIs
+            return
+        objects = self._objects[predicate_id]
+        if predicate_id not in self._built:
+            self._order = None
+        self._built[predicate_id] = (
+            term,
+            PredicateStatistics(
+                cardinality=self._cardinality[predicate_id],
+                distinct_subjects=len(subjects),
+                distinct_objects=len(objects),
+                max_subject_rows=max(subjects.values()),
+                max_object_rows=max(objects.values()),
+            ),
+        )
+
+
+def _decrement(counts: Dict[int, int], key: int) -> None:
+    remaining = counts[key] - 1
+    if remaining:
+        counts[key] = remaining
+    else:
+        del counts[key]
+
+
 def predicate_statistics(rows: Iterable[Row]) -> PredicateStatistics:
-    """Accumulate one predicate's statistics from its (possibly sharded) rows."""
+    """One predicate's statistics from its (possibly sharded) rows, counted
+    from scratch (the oracle for :class:`StatisticsTracker`)."""
     subject_counts: Dict[int, int] = {}
     object_counts: Dict[int, int] = {}
     cardinality = 0
@@ -237,7 +359,8 @@ def predicate_statistics(rows: Iterable[Row]) -> PredicateStatistics:
 
 
 def collect_statistics(table: TripleTable) -> TableStatistics:
-    """Compute fresh statistics by scanning the table's partition index."""
+    """Statistics computed from scratch by scanning the table's partition
+    index (the oracle for :class:`StatisticsTracker`)."""
     per_predicate: Dict[IRI, PredicateStatistics] = {}
     for predicate in table.predicates():
         predicate_id = table.dictionary.lookup(predicate)

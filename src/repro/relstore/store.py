@@ -31,7 +31,7 @@ from repro.relstore.executor import (
 )
 from repro.relstore.planner import RelationalPlan, kernel_costs_for_engine, plan_query
 from repro.relstore.reference import ReferenceExecutor
-from repro.relstore.stats import TableStatistics, collect_statistics
+from repro.relstore.stats import StatisticsTracker, TableStatistics
 from repro.relstore.table import TripleTable
 from repro.relstore.views import MaterializedView, MaterializedViewManager
 
@@ -113,6 +113,9 @@ class RelationalStore:
             self.table = TripleTable(dictionary)
             self._executor = ReferenceExecutor(self.table)
         self._statistics: Optional[TableStatistics] = None
+        #: Incremental statistics, built by one scan on first use (a load or
+        #: a restore whose statistics come from the snapshot pays nothing).
+        self._tracker: Optional[StatisticsTracker] = None
         #: query → (plan, compiled plan) memo, invalidated by generation.
         self._bound_plans = BoundPlanCache()
         self._plan_generation = 0
@@ -126,19 +129,26 @@ class RelationalStore:
     # ------------------------------------------------------------------ #
     def load(self, triples: Iterable[Triple] | TripleSet) -> float:
         """Bulk-load triples; returns the modelled insert latency."""
-        inserted = self.table.insert_all(triples)
+        encode = self.table.dictionary.encode_triple
+        insert_row = self.table.insert_row
+        added = [row for row in map(encode, triples) if insert_row(row)]
+        if self._tracker is not None:
+            for row in added:
+                self._tracker.add(row)
         self._invalidate_derived_state()
-        seconds = self.cost_model.relational_insert_seconds(inserted)
+        seconds = self.cost_model.relational_insert_seconds(len(added))
         self.total_insert_seconds += seconds
         return seconds
 
     def _invalidate_derived_state(self) -> None:
-        """Drop statistics and age out bound plans after any mutation.
+        """Drop cached statistics and age out bound plans after any mutation.
 
         New terms may have entered the dictionary and cardinalities may have
         shifted, so both the plan ordering and the pre-resolved constant ids
         of every bound plan are suspect; bumping the generation makes the
-        memo re-bind lazily, one query at a time.
+        memo re-bind lazily, one query at a time.  The statistics tracker
+        (when built) has already seen the written rows; the next
+        :meth:`statistics` call refreshes only the predicates they touched.
         """
         self._statistics = None
         self._plan_generation += 1
@@ -148,10 +158,13 @@ class RelationalStore:
         return self.load(triples)
 
     def delete(self, triple: Triple) -> bool:
-        removed = self.table.delete(triple)
-        if removed:
-            self._invalidate_derived_state()
-        return removed
+        row = self.table.dictionary.lookup_triple(triple)
+        if row is None or not self.table.delete_row(row):
+            return False
+        if self._tracker is not None:
+            self._tracker.remove(row)
+        self._invalidate_derived_state()
+        return True
 
     def __len__(self) -> int:
         return len(self.table)
@@ -173,10 +186,13 @@ class RelationalStore:
         return self.table.cardinalities()
 
     def statistics(self) -> TableStatistics:
-        """Current table statistics (recomputed lazily after mutations)."""
-        if self._statistics is None:
-            self._statistics = collect_statistics(self.table)
-        return self._statistics
+        """Current table statistics (refreshed lazily after mutations)."""
+        statistics = self._statistics
+        if statistics is None:
+            if self._tracker is None:
+                self._tracker = StatisticsTracker.from_rows(self.table.dictionary, self.table.scan())
+            statistics = self._statistics = self._tracker.statistics()
+        return statistics
 
     # ------------------------------------------------------------------ #
     # Query execution

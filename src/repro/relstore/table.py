@@ -11,7 +11,9 @@ plus secondary indexes:
 * (predicate, object) → row ids.
 
 Rows are identified by dense integer row ids; deletions leave tombstones so
-row ids stay stable (the store compacts on demand).
+row ids stay stable until the table compacts itself (once tombstones
+outnumber live rows).  A live-row count per predicate is kept alongside, so
+sizes and the predicate list never scan.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ class TripleTable:
         self._by_predicate_subject: Dict[Tuple[int, int], List[int]] = defaultdict(list)
         self._by_predicate_object: Dict[Tuple[int, int], List[int]] = defaultdict(list)
         self._tombstones = 0
+        #: predicate id -> live rows; predicates without live rows have no entry.
+        self._live_counts: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
     # Loading and mutation
@@ -59,6 +63,7 @@ class TripleTable:
         self._by_predicate[predicate_id].append(row_id)
         self._by_predicate_subject[(predicate_id, subject_id)].append(row_id)
         self._by_predicate_object[(predicate_id, object_id)].append(row_id)
+        self._live_counts[predicate_id] = self._live_counts.get(predicate_id, 0) + 1
         return True
 
     def insert_all(self, triples: Iterable[Triple]) -> int:
@@ -66,21 +71,37 @@ class TripleTable:
 
     def delete(self, triple: Triple) -> bool:
         """Delete a triple; return ``True`` when it was present."""
-        subject_id = self.dictionary.lookup(triple.subject)
-        predicate_id = self.dictionary.lookup(triple.predicate)
-        object_id = self.dictionary.lookup(triple.object)
-        if subject_id is None or predicate_id is None or object_id is None:
-            return False
-        row = (subject_id, predicate_id, object_id)
+        row = self.dictionary.lookup_triple(triple)
+        return row is not None and self.delete_row(row)
+
+    def delete_row(self, row: Row) -> bool:
+        """Delete an already-encoded row; return ``True`` when it was present.
+
+        The slot is found through the row's ``(predicate, subject)`` bucket,
+        so a delete costs one point lookup, not a partition walk.  The slot
+        becomes a tombstone (index entries are filtered lazily on read)
+        until tombstones outnumber live rows and the table compacts itself.
+        """
         if row not in self._row_set:
             return False
         self._row_set.remove(row)
-        # Tombstone the slot; index entries are filtered lazily on read.
-        for row_id in self._by_predicate[predicate_id]:
-            if self._rows[row_id] == row:
-                self._rows[row_id] = None
-                self._tombstones += 1
+        subject_id, predicate_id, _ = row
+        rows = self._rows
+        for row_id in self._by_predicate_subject[(predicate_id, subject_id)]:
+            if rows[row_id] == row:
+                rows[row_id] = None
                 break
+        self._tombstones += 1
+        remaining = self._live_counts[predicate_id] - 1
+        if remaining:
+            self._live_counts[predicate_id] = remaining
+        else:
+            del self._live_counts[predicate_id]
+        # Each compaction costs O(slots) and follows at least as many deletes
+        # as there are live rows left: amortized O(1) per delete, and the
+        # table never holds more than about twice its live rows.
+        if self._tombstones > len(self._row_set):
+            self.compact()
         return True
 
     # ------------------------------------------------------------------ #
@@ -95,12 +116,8 @@ class TripleTable:
 
     def predicates(self) -> List[IRI]:
         """All predicates present, decoded, sorted by IRI value."""
-        out: List[IRI] = []
-        for predicate_id, row_ids in self._by_predicate.items():
-            if any(self._rows[r] is not None for r in row_ids):
-                term = self.dictionary.decode(predicate_id)
-                if isinstance(term, IRI):
-                    out.append(term)
+        decode = self.dictionary.decode
+        out = [term for term in map(decode, self._live_counts) if isinstance(term, IRI)]
         return sorted(out, key=lambda p: p.value)
 
     def predicate_cardinality(self, predicate: IRI) -> int:
@@ -110,8 +127,8 @@ class TripleTable:
         return self.live_row_count(predicate_id)
 
     def live_row_count(self, predicate_id: int) -> int:
-        """Live rows of one predicate, counted from the index (no decoding)."""
-        return sum(1 for r in self._by_predicate.get(predicate_id, ()) if self._rows[r] is not None)
+        """Live rows of one predicate (a maintained count, no scan)."""
+        return self._live_counts.get(predicate_id, 0)
 
     def cardinalities(self) -> Dict[IRI, int]:
         return {p: self.predicate_cardinality(p) for p in self.predicates()}
@@ -147,12 +164,8 @@ class TripleTable:
                 yield row
 
     def contains(self, triple: Triple) -> bool:
-        subject_id = self.dictionary.lookup(triple.subject)
-        predicate_id = self.dictionary.lookup(triple.predicate)
-        object_id = self.dictionary.lookup(triple.object)
-        if subject_id is None or predicate_id is None or object_id is None:
-            return False
-        return (subject_id, predicate_id, object_id) in self._row_set
+        row = self.dictionary.lookup_triple(triple)
+        return row is not None and row in self._row_set
 
     # ------------------------------------------------------------------ #
     # Partition extraction (data shipped to the graph store)
@@ -181,10 +194,16 @@ class TripleTable:
                 self._tombstones += 1
                 removed.append(row)
         self._by_predicate.pop(predicate_id, None)
+        self._live_counts.pop(predicate_id, None)
         return removed
 
     def compact(self) -> int:
-        """Rebuild the table without tombstones; return rows reclaimed."""
+        """Rebuild the table without tombstones; return rows reclaimed.
+
+        Live rows keep their row-id order (the order :meth:`dump_rows` and a
+        snapshot restore use), so every scan and index bucket yields the
+        same rows in the same order as before; live counts do not change.
+        """
         if self._tombstones == 0:
             return 0
         live = [row for row in self._rows if row is not None]

@@ -618,9 +618,10 @@ class QueryService:
         result-cache invalidation, and (in delta-log mode) one log record —
         so a million-triple stream costs thousands of cheap boundaries, not
         millions.  Statistics refresh is *deferred*: the per-chunk inserts
-        only drop the stale statistics (recomputation is lazy), and one
-        optional warm pass at the end rebuilds them before query traffic
-        pays the rebuild inside a serve.
+        only feed the store's statistics tracker (or, before it is built,
+        drop the stale statistics), and one optional warm pass at the end
+        brings them current before query traffic pays for it inside a
+        serve.
         """
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")

@@ -126,21 +126,65 @@ def test_insert_invalidates_only_the_touched_predicate_block():
     assert table.partition_columns(q_id) is q_block
 
 
-def test_delete_and_compact_drop_every_block():
+def test_delete_drops_only_its_predicate_block_and_compact_drops_every_block():
     store = _columnar_store()
     table = store.table
     p_id = table.dictionary.lookup(ex("p"))
     q_id = table.dictionary.lookup(ex("q"))
     table.partition_columns(p_id)
-    table.partition_columns(q_id)
+    q_block = table.partition_columns(q_id)
+    table.full_columns()
     store.delete(Triple(ex("a"), ex("p"), ex("x")))
-    assert table._partition_columns == {} and table._full_columns is None
+    assert table.tombstone_count == 1  # one tombstone, two live rows: no compaction
+    assert p_id not in table._partition_columns and table._full_columns is None
+    assert table.partition_columns(q_id) is q_block  # untouched predicate survives
     assert table.partition_columns(p_id)[2] == 1
     # Tombstoned rows were already excluded; compaction must not resurrect.
-    table.partition_columns(q_id)
-    if table.compact():
-        assert table._partition_columns == {}
+    assert table.compact() == 1
+    assert table._partition_columns == {}
     assert table.partition_columns(q_id)[2] == 1
+
+
+def test_delete_keeps_other_blocks_and_matches_the_idspace_engine():
+    triples = [
+        Triple(ex(f"s{i}"), ex(pred), ex(f"s{(i * 7 + shift) % 12}"))
+        for i in range(12)
+        for pred, shift in (("p", 1), ("q", 2), ("r", 5))
+    ]
+    columnar_store = RelationalStore(engine="columnar")
+    idspace_store = RelationalStore(engine="idspace")
+    for store in (columnar_store, idspace_store):
+        store.load(triples)
+    queries = [
+        parse_query(
+            "SELECT ?a ?c WHERE { ?a <http://example.org/p> ?b . ?b <http://example.org/q> ?c . }"
+        ),
+        parse_query(
+            "SELECT ?a ?b WHERE { ?a <http://example.org/q> ?b . ?b <http://example.org/r> ?a . }"
+        ),
+        parse_query("SELECT ?a ?b WHERE { ?a <http://example.org/r> ?b . }"),
+    ]
+    table = columnar_store.table
+    ids = {name: table.dictionary.lookup(ex(name)) for name in ("p", "q", "r")}
+    for victim in (triples[0], triples[4], triples[9]):
+        for query in queries:  # warm every block
+            columnar_store.execute(query)
+        blocks = {name: table.partition_columns(pid) for name, pid in ids.items()}
+        for store in (columnar_store, idspace_store):
+            assert store.delete(victim)
+        assert table.tombstone_count <= len(table)
+        touched = victim.predicate.value.rsplit("/", 1)[1]
+        for name, pid in ids.items():
+            if name == touched:
+                assert pid not in table._partition_columns
+            else:
+                assert table._partition_columns[pid] is blocks[name]
+        assert table._full_columns is None
+        for query in queries:
+            got = columnar_store.execute(query)
+            want = idspace_store.execute(query)
+            assert got.bindings == want.bindings
+            assert got.counters == want.counters
 
 
 def test_extract_predicate_drops_that_predicates_block():
